@@ -9,8 +9,9 @@
 //! live traffic against what the model actually saw.
 //!
 //! At serving time each shard accumulates a [`DriftWindow`] over the
-//! rows it diagnoses; on the flush cadence the windows are absorbed
-//! into a shared [`DriftMonitor`], which publishes PSI-style
+//! rows it diagnoses; every `flush_batch` sessions (and at snapshot
+//! barriers and shutdown) the windows are absorbed into a shared
+//! [`DriftMonitor`], which publishes PSI-style
 //! per-feature divergence, label-mix distance, and confidence /
 //! coverage trend gauges, and raises (counted, logged) alerts when a
 //! divergence crosses its threshold.
@@ -378,7 +379,7 @@ impl DriftStamp {
 /// A runtime accumulation window: the same per-feature sketches plus
 /// predicted-label counts and confidence / coverage running sums.
 /// Each serving shard keeps its own (no locks on the hot path); the
-/// shared [`DriftMonitor`] absorbs them on the flush cadence.
+/// shared [`DriftMonitor`] absorbs them every `flush_batch` sessions.
 #[derive(Debug, Clone)]
 pub struct DriftWindow {
     /// One sketch per schema feature.

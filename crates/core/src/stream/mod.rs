@@ -15,8 +15,8 @@
 //!                                           │ complete / watermark
 //!                                           │ expiry / eviction
 //!                                           ▼
-//!                                  flush batches through
-//!                                 Diagnoser::diagnose_batch
+//!                                 flush what the event settled
+//!                                through Diagnoser::diagnose_batch
 //!                                           │
 //!                                           ▼
 //!                                     sink callback
@@ -49,7 +49,10 @@
 //! ended). Partial sessions are diagnosed from whatever arrived and
 //! resolve through the quality-tier fallback (exact → location →
 //! existence) instead of erroring — the §6.2 partial-deployment
-//! machinery doing live duty.
+//! machinery doing live duty. The shard diagnoses whatever an event
+//! (or the sweep it triggered) staged before it takes the next event,
+//! so a verdict leaves on the event that completed its session; only
+//! the drift fold batches, every [`ServeConfig::flush_batch`] sessions.
 //!
 //! **Backpressure.** Shard queues are bounded; when a worker falls
 //! behind, [`StreamServer::push_event`] blocks instead of buffering
@@ -110,6 +113,13 @@ fn lock_in<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// gauges are the first thing an operator looks at) and closable from
 /// the producer side, so this is the minimal Mutex + two-Condvar
 /// queue.
+///
+/// The consumer takes the whole queue per lock ([`Bounded::drain`]),
+/// and each side signals only when the other is asleep: a push wakes
+/// the consumer only if it waits on an empty queue, a drain wakes
+/// producers only if one is blocked on a full one. With a futex
+/// condvar every notify is a syscall, so per-event signalling would
+/// cost two syscalls and two lock round-trips per event.
 pub struct Bounded<T> {
     inner: Mutex<BoundedInner<T>>,
     not_full: Condvar,
@@ -119,6 +129,14 @@ pub struct Bounded<T> {
 
 struct BoundedInner<T> {
     q: VecDeque<T>,
+    /// Items the consumer drained and has not yet released (by coming
+    /// back for more). They still count against `cap`, so the bound
+    /// covers everything accepted but not yet processed.
+    held: usize,
+    /// Producers blocked on `not_full`.
+    blocked: usize,
+    /// Consumers waiting on `not_empty` (the queue is empty).
+    starved: usize,
     closed: bool,
 }
 
@@ -128,6 +146,9 @@ impl<T> Bounded<T> {
         Bounded {
             inner: Mutex::new(BoundedInner {
                 q: VecDeque::new(),
+                held: 0,
+                blocked: 0,
+                starved: 0,
                 closed: false,
             }),
             not_full: Condvar::new(),
@@ -136,54 +157,73 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Push, blocking while the queue is full (this is the
-    /// backpressure edge). Returns `false` if the queue was closed.
+    /// Push, blocking while queued plus held items reach the capacity
+    /// (this is the backpressure edge). Returns `false` if the queue
+    /// was closed.
     pub fn push(&self, v: T) -> bool {
         let mut g = lock_in(&self.inner);
-        while g.q.len() >= self.cap && !g.closed {
+        while g.q.len() + g.held >= self.cap && !g.closed {
+            g.blocked += 1;
             g = self
                 .not_full
                 .wait(g)
                 .unwrap_or_else(PoisonError::into_inner);
+            g.blocked -= 1;
         }
         if g.closed {
             return false;
         }
+        // Pushes that find the queue already filled rode on the wake
+        // of the push that filled it.
+        let wake = g.starved > 0 && g.q.is_empty();
         g.q.push_back(v);
         drop(g);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         true
     }
 
-    /// Pop, blocking while empty. `None` means closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
+    /// Release the previous batch, then move every queued item into
+    /// `batch` (which the caller has emptied), blocking while the
+    /// queue is empty. The moved items stay counted against the
+    /// capacity until the next call. `false` means closed *and*
+    /// drained.
+    pub fn drain(&self, batch: &mut VecDeque<T>) -> bool {
+        debug_assert!(batch.is_empty(), "drain into an unprocessed batch");
         let mut g = lock_in(&self.inner);
-        loop {
-            if let Some(v) = g.q.pop_front() {
-                drop(g);
-                self.not_full.notify_one();
-                return Some(v);
-            }
+        let freed = std::mem::take(&mut g.held);
+        if freed > 0 && g.blocked > 0 {
+            self.not_full.notify_all();
+        }
+        while g.q.is_empty() {
             if g.closed {
-                return None;
+                return false;
             }
+            g.starved += 1;
             g = self
                 .not_empty
                 .wait(g)
                 .unwrap_or_else(PoisonError::into_inner);
+            g.starved -= 1;
         }
+        std::mem::swap(&mut g.q, batch);
+        g.held = batch.len();
+        true
     }
 
-    /// Close the queue: pushes start failing, pops drain then end.
+    /// Close the queue: pushes start failing, drains empty it then end.
     pub fn close(&self) {
         lock_in(&self.inner).closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
-    /// Current depth (racy by nature; for gauges only).
+    /// Accepted but unprocessed items: queued plus held by the
+    /// consumer (racy by nature; for gauges only).
     pub fn len(&self) -> usize {
-        lock_in(&self.inner).q.len()
+        let g = lock_in(&self.inner);
+        g.q.len() + g.held
     }
 
     /// Whether the queue is currently empty.
@@ -205,9 +245,11 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Per-shard event queue capacity; producers block when full.
     pub queue_capacity: usize,
-    /// Sessions accumulated per `diagnose_batch` flush. Batching
-    /// amortises the compiled-plan lookup; the engine's per-row
-    /// independence makes the grouping invisible in the output.
+    /// Diagnosed sessions between drift folds: each shard folds its
+    /// local drift window into [`ServeConfig::drift`] once it holds
+    /// this many outcomes (and at snapshot barriers and shutdown).
+    /// Verdicts never wait for it: a shard flushes whatever an event
+    /// staged before taking the next event.
     pub flush_batch: usize,
     /// Watermark lateness in event-time seconds: once a shard has seen
     /// event time `T`, sessions whose newest timestamp is older than
@@ -231,9 +273,9 @@ pub struct ServeConfig {
     /// unaffected.
     pub audit: bool,
     /// Shared drift monitor: each shard keeps a local
-    /// [`DriftWindow`](crate::drift::DriftWindow) and folds it in on
-    /// every flush, after which the monitor publishes `serve.drift.*`
-    /// gauges and raises threshold alerts.
+    /// [`DriftWindow`](crate::drift::DriftWindow) and folds it in every
+    /// [`ServeConfig::flush_batch`] sessions, after which the monitor
+    /// publishes `serve.drift.*` gauges and raises threshold alerts.
     pub drift: Option<Arc<Mutex<crate::drift::DriftMonitor>>>,
 }
 
@@ -592,39 +634,44 @@ struct ShardWorker {
     abandon: Arc<AtomicBool>,
     /// Shard-local drift window (when [`ServeConfig::drift`] is set):
     /// filled lock-free inside each flush's diagnose pass, folded
-    /// into the shared monitor afterwards.
+    /// into the shared monitor every `flush_batch` sessions.
     drift_local: Option<crate::drift::DriftWindow>,
 }
 
 impl ShardWorker {
     fn run(mut self, queue: Arc<Bounded<ShardMsg>>) -> (ShardStats, ShardSnap) {
-        while let Some(msg) = queue.pop() {
-            if self.abandon.load(Ordering::SeqCst) {
-                return self.dead_snap();
-            }
-            match msg {
-                ShardMsg::Event(ev) => {
-                    self.tick += 1;
-                    self.ingest(ev);
-                    if self.pending.len() >= self.cfg.flush_batch {
+        let mut batch = VecDeque::new();
+        while queue.drain(&mut batch) {
+            while let Some(msg) = batch.pop_front() {
+                if self.abandon.load(Ordering::SeqCst) {
+                    return self.dead_snap();
+                }
+                match msg {
+                    ShardMsg::Event(ev) => {
+                        self.tick += 1;
+                        self.ingest(ev);
+                        if self.tick.is_multiple_of(SWEEP_EVERY) {
+                            self.sweep_watermark();
+                            if vqd_obs::enabled() {
+                                vqd_obs::recorder()
+                                    .hist_record("serve.queue.depth", queue.len() as f64);
+                            }
+                        }
+                        // A verdict leaves on the event that settled it.
+                        // The flush points follow the FIFO event order
+                        // alone, so the flush count is deterministic.
                         self.flush();
                     }
-                    if self.tick.is_multiple_of(SWEEP_EVERY) {
-                        self.sweep_watermark();
-                        if vqd_obs::enabled() {
-                            vqd_obs::recorder()
-                                .hist_record("serve.queue.depth", queue.len() as f64);
-                        }
+                    ShardMsg::Snap(tx) => {
+                        // Flush staged sessions first: their output
+                        // lines must be durable before a snapshot
+                        // tombstones them, or a crash between the two
+                        // would lose their answers.
+                        self.flush();
+                        self.fold_drift(true);
+                        let snap = self.collect_snap();
+                        let _ = tx.send(snap);
                     }
-                }
-                ShardMsg::Snap(tx) => {
-                    // Flush staged sessions first: their output lines
-                    // must be durable before a snapshot tombstones
-                    // them, or a crash between the two would lose
-                    // their answers.
-                    self.flush();
-                    let snap = self.collect_snap();
-                    let _ = tx.send(snap);
                 }
             }
         }
@@ -639,6 +686,7 @@ impl ShardWorker {
             self.retire(&k, FlushCause::Shutdown);
         }
         self.flush();
+        self.fold_drift(true);
         let fin = self.collect_snap();
         (self.stats, fin)
     }
@@ -925,21 +973,30 @@ impl ShardWorker {
                 audit: batch.audit_path(i).map(<[_]>::to_vec),
             });
         }
-        // Flush cadence = drift cadence: fold this shard's window into
-        // the shared monitor and re-evaluate. The hot ingest path
-        // never touches the monitor lock.
-        if let (Some(monitor), Some(local)) = (&self.cfg.drift, &mut self.drift_local) {
-            if !local.is_empty() {
-                if let Ok(mut m) = monitor.lock() {
-                    m.absorb(local);
-                    let reading = m.evaluate();
-                    for alert in &reading.alerts {
-                        eprintln!("[vqd serve] {alert}");
-                    }
-                }
-                local.clear();
+        self.fold_drift(false);
+    }
+
+    /// Fold this shard's drift window into the shared monitor and
+    /// re-evaluate, once the window holds `flush_batch` outcomes or
+    /// when `force`d (snapshot barrier, shutdown), so the monitor sees
+    /// every session once. Evaluation is PSI over every feature, far
+    /// dearer than one session's descent, hence the session cadence;
+    /// the hot ingest path never touches the monitor lock.
+    fn fold_drift(&mut self, force: bool) {
+        let (Some(monitor), Some(local)) = (&self.cfg.drift, &mut self.drift_local) else {
+            return;
+        };
+        if local.is_empty() || (!force && local.outcomes < self.cfg.flush_batch as u64) {
+            return;
+        }
+        if let Ok(mut m) = monitor.lock() {
+            m.absorb(local);
+            let reading = m.evaluate();
+            for alert in &reading.alerts {
+                eprintln!("[vqd serve] {alert}");
             }
         }
+        local.clear();
     }
 }
 
@@ -971,6 +1028,9 @@ pub struct StreamServer {
     /// Journal appends not yet folded into the obs counter; reported
     /// in batches so the hot path skips the per-event recorder call.
     journal_unreported: u64,
+    /// Routed events not yet folded into the obs counter (same
+    /// batching as `journal_unreported`).
+    events_unreported: u64,
 }
 
 impl StreamServer {
@@ -1139,6 +1199,7 @@ impl StreamServer {
             suppressed,
             abandon,
             journal_unreported: 0,
+            events_unreported: 0,
         };
         // Replay the journal suffix (already journaled — route only).
         for ev in replay {
@@ -1158,19 +1219,29 @@ impl StreamServer {
         }
     }
 
+    /// Fold batched routed events into the obs counter.
+    fn report_events_counter(&mut self) {
+        if self.events_unreported > 0 {
+            if vqd_obs::enabled() {
+                vqd_obs::recorder().counter_add("serve.events", self.events_unreported);
+            }
+            self.events_unreported = 0;
+        }
+    }
+
     /// Route one event to its shard queue without journaling.
     fn route(&mut self, ev: ProbeEvent) {
         self.events += 1;
-        if self.events.is_multiple_of(256) && vqd_obs::enabled() {
-            let depth: usize = self.queues.iter().map(|q| q.len()).sum();
-            vqd_obs::recorder().gauge_set("serve.queue.depth", depth as f64);
+        self.events_unreported += 1;
+        if self.events_unreported >= 256 {
+            self.report_events_counter();
+            if vqd_obs::enabled() {
+                vqd_obs::recorder().gauge_set("serve.queue.depth", self.queue_depth() as f64);
+            }
         }
         let shard = shard_of(&ev.session, self.queues.len());
         self.queues[shard].push(ShardMsg::Event(ev));
         self.covered_seq += 1;
-        if vqd_obs::enabled() {
-            vqd_obs::recorder().counter_add("serve.events", 1);
-        }
     }
 
     /// Accept one event: journal it (write-ahead), route it to its
@@ -1226,7 +1297,8 @@ impl StreamServer {
         self.journal.as_ref().map(|j| j.next_seq()).unwrap_or(0)
     }
 
-    /// Total queued events across shards right now (for gauges).
+    /// Events accepted but not yet ingested across shards right now,
+    /// queued or held by a worker (for gauges).
     pub fn queue_depth(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
@@ -1310,6 +1382,7 @@ impl StreamServer {
     /// replays nothing and re-answers nothing.
     pub fn finish(mut self) -> Result<ServeReport, VqdError> {
         self.report_journal_counter();
+        self.report_events_counter();
         if let Some(j) = self.journal.as_mut() {
             j.flush().map_err(VqdError::Journal)?;
         }
@@ -1429,6 +1502,12 @@ pub fn corpus_to_events_from(runs: &[LabeledRun], base: usize) -> Vec<ProbeEvent
 mod tests {
     use super::*;
 
+    /// Drain `q` once into a fresh batch, as a `Vec`.
+    fn drained<T>(q: &Bounded<T>) -> Option<Vec<T>> {
+        let mut batch = VecDeque::new();
+        q.drain(&mut batch).then(|| batch.into())
+    }
+
     #[test]
     fn bounded_queue_fifo_close_drain() {
         let q = Bounded::new(4);
@@ -1437,23 +1516,36 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.close();
         assert!(!q.push(3), "push after close must fail");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None, "closed and drained");
+        assert_eq!(drained(&q), Some(vec![1, 2]), "one drain takes all, FIFO");
+        assert_eq!(drained(&q), None, "closed and drained");
     }
 
+    /// The capacity bounds accepted-but-unprocessed items: a drained
+    /// batch the consumer still holds keeps its slots until the next
+    /// drain releases them, and only then is the blocked push let in.
     #[test]
-    fn bounded_queue_blocks_until_popped() {
-        let q = Arc::new(Bounded::new(1));
-        assert!(q.push(10u32));
+    fn bounded_queue_push_blocks_while_a_drained_batch_is_held() {
+        let q = Arc::new(Bounded::new(3));
+        for v in 0..3u32 {
+            assert!(q.push(v));
+        }
+        let mut batch = VecDeque::new();
+        assert!(q.drain(&mut batch));
+        assert_eq!(Vec::from(std::mem::take(&mut batch)), vec![0, 1, 2]);
+        assert_eq!(q.len(), 3, "the held batch still counts");
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.push(11));
-        // The pusher is blocked on the full queue until we pop.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some(10));
+        let h = std::thread::spawn(move || q2.push(3));
+        while lock_in(&q.inner).blocked == 0 && !h.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(!h.is_finished(), "push must block on the held batch");
+        assert_eq!(q.len(), 3, "the blocked push added nothing");
+        assert!(q.drain(&mut batch), "releasing the batch admits the push");
         assert!(h.join().expect("pusher"));
-        assert_eq!(q.pop(), Some(11));
+        assert_eq!(Vec::from(batch), vec![3]);
+        q.close();
+        assert_eq!(drained(&q), None);
+        assert_eq!(q.len(), 0, "a final drain releases everything");
     }
 
     #[test]

@@ -310,7 +310,7 @@ proptest! {
         let got = serve_all(
             ServeConfig {
                 shards,
-                flush_batch: 3, // force several partial flush batches
+                flush_batch: 3, // verdicts flush per session at any value
                 ..ServeConfig::default()
             },
             events,

@@ -97,10 +97,11 @@ const USAGE: &str = "usage: vqd <command> [--opt value ...]\n\
     synthetic --ts <step> arrival timestamps). `serve` is the streaming\n\
     daemon: it reassembles sessions from such events (stdin or a TCP\n\
     socket; the literal line \"shutdown\" stops a socket daemon),\n\
-    diagnoses each on completion / watermark expiry / eviction, and\n\
-    emits the same TSV as `diagnose --batch` — bit-identical per\n\
-    session at any arrival order and --shards count (emission order\n\
-    varies; sort both by session to compare). Malformed lines are\n\
+    diagnoses each on completion / watermark expiry / eviction as soon\n\
+    as the event that settled it is processed, and emits the same TSV\n\
+    as `diagnose --batch` — bit-identical per session at any arrival\n\
+    order and --shards count (emission order varies; sort both by\n\
+    session to compare). Malformed lines are\n\
     dropped with a warning unless --strict. SIGINT/SIGTERM drain the\n\
     shards, flush every open session, write a final snapshot (when\n\
     configured) and exit 0.\n\
@@ -129,8 +130,9 @@ const USAGE: &str = "usage: vqd <command> [--opt value ...]\n\
     `diagnose --batch --explain` writes the same records offline.\n\
     Models trained by this version carry a drift stamp (training-time\n\
     feature sketches + label mix); serve compares live traffic against\n\
-    it on the flush cadence, publishes serve.drift.* gauges and logs\n\
-    threshold crossings (--no-drift disables). Graceful shutdown\n\
+    it every --flush-batch sessions per shard (and at snapshots and\n\
+    shutdown), publishes serve.drift.* gauges and logs threshold\n\
+    crossings (--no-drift disables). Graceful shutdown\n\
     flushes the audit sink and writes the --stats snapshot last.\n\
     \n\
     Observability (corpus / train / robustness):\n\

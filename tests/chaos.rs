@@ -209,6 +209,53 @@ fn crash_recover_equals_offline_at_shards_1_and_8() {
     }
 }
 
+/// A snapshot barrier force-folds every shard's drift window, even one
+/// short of the `flush_batch` fold cadence: once `write_snapshot`
+/// returns, the monitor holds one row per answered session, and
+/// shutdown adds none twice.
+#[test]
+fn snapshot_barrier_folds_partial_drift_windows() {
+    let (model, runs) = fixture();
+    let runs = &runs[..10];
+    let base = tmpdir("drift-barrier");
+    let stamp = model
+        .drift_stamp()
+        .expect("freshly trained model carries a drift stamp")
+        .clone();
+    let monitor = Arc::new(Mutex::new(DriftMonitor::new(stamp)));
+    let rows = || {
+        monitor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .window_rows()
+    };
+    let mut server = StreamServer::start(
+        Arc::clone(model),
+        ServeConfig {
+            shards: 3,
+            flush_batch: 1000,
+            drift: Some(Arc::clone(&monitor)),
+            ..ServeConfig::default()
+        },
+        Durability {
+            journal: Some(JournalSpec::new(base.join("journal"))),
+            snapshots: Some(SnapshotSpec::new(base.join("snaps"), 0)),
+        },
+        None,
+        file_sink(&base.join("out.tsv")),
+    )
+    .unwrap();
+    for ev in corpus_to_events(runs) {
+        server.push_event(ev).unwrap();
+    }
+    server.write_snapshot().unwrap();
+    assert_eq!(rows(), runs.len() as u64, "barrier folds every window");
+    let report = server.finish().unwrap();
+    assert_eq!(report.complete, runs.len() as u64);
+    assert_eq!(rows(), runs.len() as u64, "shutdown folds nothing twice");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
 /// Journal-only recovery (no snapshots would be cut before the first
 /// cadence tick): replay-from-zero must carry the whole weight.
 #[test]

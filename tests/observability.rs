@@ -48,8 +48,14 @@ fn assert_bit_identical(a: &Diagnosis, b: &Diagnosis, what: &str) {
     assert_eq!(a.fallback_label, b.fallback_label, "{what}: fallback");
 }
 
+/// Serializes the daemons this file runs: the obs registry is
+/// process-global, so a counter check must not see another test's
+/// serve traffic.
+static SERVE_RUNS: Mutex<()> = Mutex::new(());
+
 /// Replay `events` through a daemon and collect every flushed session.
 fn serve_all(cfg: ServeConfig, events: Vec<ProbeEvent>) -> Vec<FlushedSession> {
+    let _serial = SERVE_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     let (model, _) = fixture();
     let got: Arc<Mutex<Vec<FlushedSession>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
@@ -230,56 +236,98 @@ fn audit_off_records_nothing() {
 /// Drift monitoring over serve traffic drawn from the training
 /// distribution itself: the windowed sketches match the stamp (PSI at
 /// the noise floor), the label mix stays inside the alert threshold,
-/// and no alert fires. The window must have seen every session once.
+/// and no alert fires. The window must have seen every session once,
+/// including sessions left in shard windows short of the `flush_batch`
+/// fold cadence at shutdown (the second input never reaches it).
 #[test]
 fn drift_monitor_windows_serve_traffic_without_false_alarms() {
     let (model, runs) = fixture();
-    let stamp = model
-        .drift_stamp()
-        .expect("freshly trained model carries a drift stamp")
-        .clone();
-    let monitor = Arc::new(Mutex::new(DriftMonitor::new(stamp)));
-    // The fixture is below the production 64-row minimum; lower the
-    // floor to the corpus size so the final window evaluates while
-    // mid-stream partial windows stay silent.
-    monitor
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .min_rows = runs.len() as u64;
+    for (shards, flush_batch) in [(4usize, 8usize), (2, runs.len() + 1)] {
+        let what = format!("shards={shards} flush_batch={flush_batch}");
+        let stamp = model
+            .drift_stamp()
+            .expect("freshly trained model carries a drift stamp")
+            .clone();
+        let monitor = Arc::new(Mutex::new(DriftMonitor::new(stamp)));
+        // The fixture is below the production 64-row minimum; lower the
+        // floor to the corpus size so the final window evaluates while
+        // mid-stream partial windows stay silent.
+        monitor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .min_rows = runs.len() as u64;
+        let mut events = corpus_to_events(runs);
+        shuffle(&mut events, 7);
+        let got = serve_all(
+            ServeConfig {
+                shards,
+                flush_batch,
+                drift: Some(Arc::clone(&monitor)),
+                ..ServeConfig::default()
+            },
+            events,
+        );
+        assert_eq!(got.len(), runs.len(), "{what}");
+        let mut mon = monitor.lock().unwrap_or_else(PoisonError::into_inner);
+        let reading = mon.evaluate();
+        assert_eq!(
+            reading.rows,
+            runs.len() as u64,
+            "{what}: one windowed row per session"
+        );
+        let max_psi = reading.psi.iter().map(|(_, v)| *v).fold(0.0f64, f64::max);
+        assert!(
+            max_psi < 0.05,
+            "{what}: traffic from the training distribution must sit at the PSI noise floor, \
+             got {max_psi}"
+        );
+        assert!(
+            reading.label_mix < 0.25,
+            "{what}: resubstitution label mix {} crossed the alert threshold",
+            reading.label_mix
+        );
+        assert!(
+            mon.alerts().is_empty(),
+            "{what}: false drift alarm on training traffic: {:?}",
+            mon.alerts()
+        );
+        assert!(reading.confidence_avg > 0.0 && reading.confidence_avg <= 1.0);
+        assert!(reading.coverage_avg > 0.0 && reading.coverage_avg <= 1.0);
+    }
+}
+
+/// The producer reports routed events to the `serve.events` counter in
+/// batches; `finish()` folds the remainder, so the counter ends equal
+/// to the report's event count.
+#[test]
+fn serve_events_counter_matches_the_report() {
+    let (_, runs) = fixture();
     let mut events = corpus_to_events(runs);
-    shuffle(&mut events, 7);
-    let got = serve_all(
+    events.push(events[0].clone()); // one duplicate sample
+    let _serial = SERVE_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    vqd_obs::enable();
+    let before = vqd_obs::snapshot().counter("serve.events");
+    let (model, _) = fixture();
+    let mut server = StreamServer::new(
+        Arc::clone(model),
         ServeConfig {
-            shards: 4,
-            flush_batch: 8,
-            drift: Some(Arc::clone(&monitor)),
+            shards: 2,
             ..ServeConfig::default()
         },
-        events,
+        |_| {},
     );
-    assert_eq!(got.len(), runs.len());
-    let mut mon = monitor.lock().unwrap_or_else(PoisonError::into_inner);
-    let reading = mon.evaluate();
-    assert_eq!(
-        reading.rows,
-        runs.len() as u64,
-        "one windowed row per session"
-    );
-    let max_psi = reading.psi.iter().map(|(_, v)| *v).fold(0.0f64, f64::max);
+    for ev in events.iter().cloned() {
+        server
+            .push_event(ev)
+            .expect("no durability, push cannot fail");
+    }
+    let report = server.finish().expect("no durability, finish cannot fail");
+    let counted = vqd_obs::snapshot().counter("serve.events") - before;
+    vqd_obs::disable();
+    assert_eq!(report.events, events.len() as u64);
     assert!(
-        max_psi < 0.05,
-        "traffic from the training distribution must sit at the PSI noise floor, got {max_psi}"
+        !report.events.is_multiple_of(256),
+        "the input must leave a remainder below the reporting batch"
     );
-    assert!(
-        reading.label_mix < 0.25,
-        "resubstitution label mix {} crossed the alert threshold",
-        reading.label_mix
-    );
-    assert!(
-        mon.alerts().is_empty(),
-        "false drift alarm on training traffic: {:?}",
-        mon.alerts()
-    );
-    assert!(reading.confidence_avg > 0.0 && reading.confidence_avg <= 1.0);
-    assert!(reading.coverage_avg > 0.0 && reading.coverage_avg <= 1.0);
+    assert_eq!(counted, report.events);
 }

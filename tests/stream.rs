@@ -52,6 +52,14 @@ fn assert_bit_identical(a: &Diagnosis, b: &Diagnosis, what: &str) {
 
 /// Replay `events` through a daemon and collect every flushed session.
 fn serve_all(cfg: ServeConfig, events: Vec<ProbeEvent>) -> Vec<FlushedSession> {
+    serve_with_report(cfg, events).0
+}
+
+/// [`serve_all`] that also returns the daemon's end-of-run report.
+fn serve_with_report(
+    cfg: ServeConfig,
+    events: Vec<ProbeEvent>,
+) -> (Vec<FlushedSession>, ServeReport) {
     let (model, _) = fixture();
     let got: Arc<Mutex<Vec<FlushedSession>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
@@ -69,7 +77,7 @@ fn serve_all(cfg: ServeConfig, events: Vec<ProbeEvent>) -> Vec<FlushedSession> {
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     assert_eq!(report.sessions as usize, got.len(), "report vs sink count");
-    got
+    (got, report)
 }
 
 /// Deterministic xorshift64* Fisher–Yates, same scheme as `vqd events
@@ -111,7 +119,7 @@ fn serve_matches_offline_batch_shuffled_at_shard_counts_1_and_8() {
         shuffle(&mut events, 0xBADC0DE + shards as u64);
         let cfg = ServeConfig {
             shards,
-            flush_batch: 5, // force several partial flush batches
+            flush_batch: 5, // verdicts flush per session at any value
             ..ServeConfig::default()
         };
         let got = serve_all(cfg, events);
@@ -135,6 +143,68 @@ fn serve_matches_offline_batch_shuffled_at_shard_counts_1_and_8() {
                 result_line(&fs.session, dx),
                 "shards={shards}: TSV bytes"
             );
+        }
+    }
+}
+
+/// A completed session is answered on the event that completed it:
+/// its verdict reaches the sink while the daemon is still running,
+/// without waiting for `flush_batch` sessions to pile up on its shard.
+#[test]
+fn completed_session_is_answered_before_finish() {
+    let (model, runs) = fixture();
+    let want = offline(&runs[..1]);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut server = StreamServer::new(
+        Arc::clone(model),
+        ServeConfig {
+            shards: 2,
+            flush_batch: 32,
+            ..ServeConfig::default()
+        },
+        move |fs| {
+            let _ = tx.send(fs);
+        },
+    );
+    for ev in corpus_to_events(&runs[..1]) {
+        server
+            .push_event(ev)
+            .expect("no durability, push cannot fail");
+    }
+    let fs = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("verdict must arrive before finish()");
+    assert_eq!(fs.session, "0");
+    assert_eq!(fs.cause, FlushCause::Complete);
+    assert_bit_identical(&want["0"], &fs.diagnosis, "early verdict");
+    let report = server.finish().expect("no durability, finish cannot fail");
+    assert_eq!(report.sessions, 1);
+    assert_eq!(report.flush_batches, 1);
+    assert!(rx.try_recv().is_err(), "answered exactly once");
+}
+
+/// In-order replay flushes once per session (each `end` marker
+/// completes one session), however many sessions `flush_batch` names,
+/// at 1 and 8 shards. The session count is deliberately not a multiple
+/// of `flush_batch`.
+#[test]
+fn in_order_replay_flushes_once_per_completed_session() {
+    let (_, runs) = fixture();
+    let runs = &runs[..29];
+    let want = offline(runs);
+    for shards in [1usize, 8] {
+        let (got, report) = serve_with_report(
+            ServeConfig {
+                shards,
+                flush_batch: 32,
+                ..ServeConfig::default()
+            },
+            corpus_to_events(runs),
+        );
+        assert_eq!(report.complete, runs.len() as u64, "shards={shards}");
+        assert_eq!(report.flush_batches, runs.len() as u64, "shards={shards}");
+        for fs in &got {
+            assert_bit_identical(&want[&fs.session], &fs.diagnosis, &fs.session);
         }
     }
 }
