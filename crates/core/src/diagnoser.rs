@@ -8,7 +8,7 @@
 //! Missing vantage points simply produce missing features, which the
 //! tree handles natively.
 
-use vqd_features::{fcbf, FeatureConstructor};
+use vqd_features::{CandidateTable, FeatureConstructor};
 use vqd_ml::cv::cross_validate_threads;
 use vqd_ml::dataset::Dataset;
 use vqd_ml::dtree::{C45Config, C45Trainer, DecisionTree};
@@ -144,60 +144,92 @@ pub struct PreparedPipeline {
     pub constructor: Option<FeatureConstructor>,
 }
 
+impl PreparedPipeline {
+    /// The prepared pipeline of the columns of an FC output whose name
+    /// passes `keep`: the FCBF union of those columns read from
+    /// `table` (every column passing `keep` when no column clears the
+    /// relevance bar, or when `table` is `None`, i.e. without FS).
+    ///
+    /// Feature construction reads only columns of the same vantage
+    /// point (see [`vqd_features::ConstructionPlan`]), so restricting
+    /// its output to a set of VP-prefixed columns equals constructing
+    /// over the restricted raw columns, column for column. With
+    /// `constructed` and `table` from one raw dataset, the result
+    /// therefore equals `Diagnoser::prepare` over that dataset's
+    /// columns under the same VP filter.
+    pub fn derive(
+        constructed: &Dataset,
+        constructor: Option<&FeatureConstructor>,
+        table: Option<&CandidateTable>,
+        keep: impl Fn(&str) -> bool,
+    ) -> PreparedPipeline {
+        let names = table.map(|t| t.fcbf_union(&keep)).unwrap_or_default();
+        let data = if names.is_empty() {
+            constructed.select_features_by(keep)
+        } else {
+            constructed.select_features(&names)
+        };
+        PreparedPipeline {
+            data,
+            constructor: constructor.cloned(),
+        }
+    }
+}
+
 impl Diagnoser {
     /// Run the discretisation-free part of the pipeline once: feature
     /// construction (when `use_fc`) and FCBF selection (when
     /// `use_fs`). The result can back any number of `*_prepared`
     /// calls.
+    ///
+    /// Selection is the global FCBF pass unioned with one pass per
+    /// vantage point ([`CandidateTable::fcbf_union`]), both walking
+    /// one [`CandidateTable`], so each column is discretised once.
     pub fn prepare(raw: &Dataset, cfg: &DiagnoserConfig) -> PreparedPipeline {
-        let (data, constructor) = Self::prepare_impl(raw, cfg);
-        PreparedPipeline { data, constructor }
+        let (data, constructor) = Self::construct(raw, cfg);
+        let _span = vqd_obs::WallSpan::begin("select", "pipeline");
+        if !cfg.use_fs {
+            return PreparedPipeline { data, constructor };
+        }
+        let table = CandidateTable::build(&data, cfg.fcbf_delta);
+        PreparedPipeline::derive(&data, constructor.as_ref(), Some(&table), |_| true)
     }
 
-    /// Prepare a raw dataset through FC + FS, returning the prepared
-    /// dataset and the fitted constructor.
-    fn prepare_impl(raw: &Dataset, cfg: &DiagnoserConfig) -> (Dataset, Option<FeatureConstructor>) {
-        let (data, constructor) = {
-            let _span = vqd_obs::WallSpan::begin("construct", "pipeline");
-            if cfg.use_fc {
-                let c = FeatureConstructor::fit(raw);
-                (c.transform(raw), Some(c))
-            } else {
-                (raw.clone(), None)
-            }
-        };
+    /// [`Diagnoser::prepare`] of each vantage-point subset of a raw
+    /// dataset (the columns starting with one of a set's VP names, as
+    /// [`crate::experiments::vp_subset`] keeps them), from one feature
+    /// construction and one [`CandidateTable`] over all columns. Equal,
+    /// pipeline for pipeline, to `prepare(&vp_subset(raw, set), cfg)`.
+    pub fn prepare_vp_sets(
+        raw: &Dataset,
+        cfg: &DiagnoserConfig,
+        sets: &[&[&str]],
+    ) -> Vec<PreparedPipeline> {
+        let (data, constructor) = Self::construct(raw, cfg);
         let _span = vqd_obs::WallSpan::begin("select", "pipeline");
-        let data = if cfg.use_fs {
-            // Global FCBF plus a per-vantage-point pass, unioned: the
-            // global pass alone tends to keep one VP's copy of a
-            // correlated metric and discard the others', which would
-            // leave the remaining entities unable to diagnose alone —
-            // contradicting the paper's per-entity independence (its
-            // Table 1 likewise retains per-VP variants such as mobile,
-            // router *and* server RTT).
-            let mut names = fcbf(&data, cfg.fcbf_delta).names;
-            let vps: std::collections::BTreeSet<String> = data
-                .features
-                .iter()
-                .filter_map(|n| n.split('.').next().map(str::to_string))
-                .collect();
-            for vp in vps {
-                let sub = data.select_features_by(|n| n.starts_with(&vp));
-                for n in fcbf(&sub, cfg.fcbf_delta).names {
-                    if !names.contains(&n) {
-                        names.push(n);
-                    }
-                }
-            }
-            if names.is_empty() {
-                data
-            } else {
-                data.select_features(&names)
-            }
+        let table = cfg
+            .use_fs
+            .then(|| CandidateTable::build(&data, cfg.fcbf_delta));
+        sets.iter()
+            .map(|vps| {
+                PreparedPipeline::derive(&data, constructor.as_ref(), table.as_ref(), |n| {
+                    vps.iter().any(|vp| n.starts_with(vp))
+                })
+            })
+            .collect()
+    }
+
+    /// The FC stage of [`Diagnoser::prepare`]: the constructed dataset
+    /// and the fitted constructor (the raw dataset, unconstructed,
+    /// without `use_fc`).
+    fn construct(raw: &Dataset, cfg: &DiagnoserConfig) -> (Dataset, Option<FeatureConstructor>) {
+        let _span = vqd_obs::WallSpan::begin("construct", "pipeline");
+        if cfg.use_fc {
+            let c = FeatureConstructor::fit(raw);
+            (c.transform(raw), Some(c))
         } else {
-            data
-        };
-        (data, constructor)
+            (raw.clone(), None)
+        }
     }
 
     /// Train on a raw labelled dataset.
@@ -606,8 +638,8 @@ impl Diagnoser {
     /// 10-fold (or k-fold) cross-validation of the full pipeline on a
     /// raw dataset: FC/FS are fitted once on the full data (as the
     /// paper does with Weka), the tree is cross-validated. Folds run
-    /// in parallel (governed by `cfg.tree.threads`); the result is
-    /// identical for every thread count.
+    /// in parallel (governed by `cfg.tree.threads`), each fold's fit
+    /// serially; the result is identical for every thread count.
     pub fn cross_validate(
         raw: &Dataset,
         cfg: &DiagnoserConfig,

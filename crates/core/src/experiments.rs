@@ -11,12 +11,12 @@
 //! * [`table1`] — the FCBF-selected feature list.
 //! * [`table4`] — top-3 features per fault per vantage point.
 
-use vqd_features::{fcbf, rank_by_su, FeatureConstructor, Selection};
+use vqd_features::{fcbf, rank_by_su, CandidateTable, FeatureConstructor, Selection};
 use vqd_ml::dataset::Dataset;
 use vqd_ml::metrics::ConfusionMatrix;
 
 use crate::dataset::{to_dataset, LabeledRun};
-use crate::diagnoser::{Diagnoser, DiagnoserConfig};
+use crate::diagnoser::{Diagnoser, DiagnoserConfig, PreparedPipeline};
 use crate::scenario::LabelScheme;
 
 /// The vantage-point sets evaluated throughout Section 5.
@@ -68,7 +68,10 @@ pub fn vp_subset(data: &Dataset, vps: &[&str]) -> Dataset {
 }
 
 /// Figures 3 & 4 (and §5.2 with [`LabelScheme::Location`]): evaluate
-/// each VP set with 10-fold CV under the given label scheme.
+/// each VP set with 10-fold CV under the given label scheme. The four
+/// VP sets share one feature construction and one FCBF candidate
+/// table ([`Diagnoser::prepare_vp_sets`]); each set's result equals
+/// `Diagnoser::cross_validate(&vp_subset(..), ..)`.
 pub fn eval_by_vp(
     runs: &[LabeledRun],
     scheme: LabelScheme,
@@ -76,11 +79,13 @@ pub fn eval_by_vp(
     seed: u64,
 ) -> Vec<VpEval> {
     let data = to_dataset(runs, scheme);
+    let sets: Vec<&[&str]> = VP_SETS.iter().map(|(_, vps)| *vps).collect();
+    let preps = Diagnoser::prepare_vp_sets(&data, cfg, &sets);
     VP_SETS
         .iter()
-        .map(|(name, vps)| {
-            let sub = vp_subset(&data, vps);
-            let cm = Diagnoser::cross_validate(&sub, cfg, 10, seed);
+        .zip(&preps)
+        .map(|((name, _), prep)| {
+            let cm = Diagnoser::cross_validate_prepared(prep, cfg, 10, seed);
             VpEval {
                 vp: name.to_string(),
                 accuracy: cm.accuracy(),
@@ -173,15 +178,21 @@ pub fn feature_set_sweep_prepared(prep: &ExactPrep, seed: u64) -> Vec<FeatureSet
         &constructed.select_features_by(|n| n.contains(".tcp.")),
     );
     eval("ALL", raw);
-    // Full pipeline (FS & FC).
-    let cm = Diagnoser::cross_validate(raw, &DiagnoserConfig::default(), 10, seed);
-    let sel = fcbf(constructed, 0.01);
+    // Full pipeline (FS & FC) over the constructed view at hand: one
+    // candidate table backs both the CV's selection (global + per-VP
+    // union, as `Diagnoser::cross_validate(raw, ..)` selects) and the
+    // reported count (the global selection, Table 1's).
+    let cfg = DiagnoserConfig::default();
+    let table = CandidateTable::build(constructed, cfg.fcbf_delta);
+    let fc = FeatureConstructor::fit(raw);
+    let fs = PreparedPipeline::derive(constructed, Some(&fc), Some(&table), |_| true);
+    let cm = Diagnoser::cross_validate_prepared(&fs, &cfg, 10, seed);
     out.push(FeatureSetEval {
         name: "FS & FC".to_string(),
         precision: cm.macro_precision(),
         recall: cm.macro_recall(),
         accuracy: cm.accuracy(),
-        n_features: sel.names.len(),
+        n_features: table.fcbf(|_| true).names.len(),
     });
     out
 }
@@ -223,6 +234,17 @@ pub fn table4_prepared(prep: &ExactPrep, top_k: usize) -> Vec<FaultFeatureRank> 
         .iter()
         .map(|f| f.name())
         .collect();
+    // Rank each fault once over every VP set's columns; a VP set's
+    // ranking is that ranking filtered to its columns, because
+    // `rank_by_su` scores each column alone and sorts stably.
+    let in_set = |vps: &[&str], n: &str| vps.iter().any(|vp| n.starts_with(vp));
+    let idx: Vec<usize> = constructed
+        .features
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| VP_SETS.iter().any(|(_, vps)| in_set(vps, n)))
+        .map(|(j, _)| j)
+        .collect();
     let mut out = Vec::new();
     for fault in &faults {
         // Binary dataset: good (0) vs this fault (1).
@@ -241,31 +263,26 @@ pub fn table4_prepared(prep: &ExactPrep, top_k: usize) -> Vec<FaultFeatureRank> 
         if y.iter().sum::<usize>() < 4 {
             continue; // too few instances of this fault in the corpus
         }
+        let mut sub = Dataset::new(
+            idx.iter()
+                .map(|&j| constructed.features[j].clone())
+                .collect(),
+            vec!["good".into(), fault.to_string()],
+        );
+        for (&r, &cls) in rows.iter().zip(&y) {
+            sub.push(idx.iter().map(|&j| constructed.x[r][j]).collect(), cls);
+        }
+        let ranked = rank_by_su(&sub);
         for (vp_name, vps) in VP_SETS {
-            let mut sub = Dataset::new(
-                constructed
-                    .features
-                    .iter()
-                    .filter(|n| vps.iter().any(|vp| n.starts_with(vp)))
-                    .cloned()
-                    .collect(),
-                vec!["good".into(), fault.to_string()],
-            );
-            let idx: Vec<usize> = constructed
-                .features
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| vps.iter().any(|vp| n.starts_with(vp)))
-                .map(|(j, _)| j)
-                .collect();
-            for (&r, &cls) in rows.iter().zip(&y) {
-                sub.push(idx.iter().map(|&j| constructed.x[r][j]).collect(), cls);
-            }
-            let ranked = rank_by_su(&sub);
             out.push(FaultFeatureRank {
                 fault: fault.to_string(),
                 vp: vp_name.to_string(),
-                top: ranked.into_iter().take(top_k).collect(),
+                top: ranked
+                    .iter()
+                    .filter(|(n, _)| in_set(vps, n))
+                    .take(top_k)
+                    .cloned()
+                    .collect(),
             });
         }
     }

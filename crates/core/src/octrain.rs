@@ -8,9 +8,9 @@
 //!   construction rules against the raw schema once; each transformed
 //!   column is then computed on demand from one or two raw columns
 //!   (the constructor carries no learned state).
-//! * **FS** — [`fcbf_union_streaming`] runs the exact global + per-VP
-//!   FCBF union of `Diagnoser::prepare`, fetching one transformed
-//!   column at a time.
+//! * **FS** — [`fcbf_union_streaming`] fills the candidate table
+//!   `Diagnoser::prepare` selects from, fetching one transformed
+//!   column at a time, and walks the same global + per-VP FCBF union.
 //! * **C4.5** — [`C45Trainer::fit_streaming`] gathers `(value, id)`
 //!   pairs per node/feature through an external sort, bit-identical to
 //!   the in-memory fit.

@@ -15,4 +15,4 @@ pub mod construct;
 pub mod select;
 
 pub use construct::{ColumnOp, ConstructionPlan, FeatureConstructor, InstancePlan, PlanStep};
-pub use select::{fcbf, fcbf_union_streaming, rank_by_su, Selection};
+pub use select::{fcbf, fcbf_union_streaming, rank_by_su, CandidateTable, Selection};

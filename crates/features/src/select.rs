@@ -9,7 +9,7 @@
 
 use vqd_ml::dataset::Dataset;
 use vqd_ml::discretize::{apply, mdl_cuts};
-use vqd_ml::info::symmetrical_uncertainty;
+use vqd_ml::info::{entropy_of_counts, symmetrical_uncertainty};
 
 /// Outcome of feature selection.
 #[derive(Debug, Clone)]
@@ -87,132 +87,215 @@ pub fn fcbf(data: &Dataset, delta: f64) -> Selection {
     }
 }
 
-/// One relevant feature's cached discretisation in the streaming
-/// selector: the column never stays resident, only its MDL bins
-/// (`4·n_rows` bytes) and SU with the class.
-struct StreamCand {
-    col: usize,
+/// A discretised column: its bins, bin count and bin entropy.
+struct Binned {
     bins: Vec<u32>,
     n_bins: usize,
+    h: f64,
+}
+
+impl Binned {
+    fn new(bins: Vec<u32>, n_bins: usize) -> Binned {
+        let mut counts = vec![0.0f64; n_bins];
+        for &b in &bins {
+            counts[b as usize] += 1.0;
+        }
+        let h = entropy_of_counts(&counts);
+        Binned { bins, n_bins, h }
+    }
+
+    /// Symmetrical uncertainty with another column of the same rows:
+    /// the arithmetic of [`symmetrical_uncertainty`] (whose marginal
+    /// entropies come from the same integer counts), without
+    /// recounting the marginals per pair.
+    fn su(&self, other: &Binned, joint: &mut Vec<f64>) -> f64 {
+        let (hx, hy) = (self.h, other.h);
+        if hx + hy <= 0.0 {
+            return 0.0;
+        }
+        let ny = other.n_bins;
+        joint.clear();
+        joint.resize(self.n_bins * ny, 0.0);
+        for (&x, &y) in self.bins.iter().zip(&other.bins) {
+            joint[x as usize * ny + y as usize] += 1.0;
+        }
+        let mi = (hx + hy - entropy_of_counts(joint)).max(0.0);
+        (2.0 * mi / (hx + hy)).clamp(0.0, 1.0)
+    }
+}
+
+/// One relevant column of a [`CandidateTable`]: its bins
+/// (`4·n_rows` bytes) and SU with the class.
+struct Cand {
+    col: usize,
+    binned: Binned,
     su: f64,
 }
 
-/// FCBF redundancy elimination over a candidate subset, exactly as
-/// [`fcbf`] does it: stable sort by SU descending, then walk the
-/// ranking removing redundant peers. Returns indices into `cands` in
-/// selection order.
-fn eliminate(cands: &[&StreamCand], xa: &mut Vec<usize>, xb: &mut Vec<usize>) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..cands.len()).collect();
-    order.sort_by(|&a, &b| cands[b].su.total_cmp(&cands[a].su));
-    let mut selected = Vec::new();
-    let mut removed = vec![false; order.len()];
-    for i in 0..order.len() {
-        if removed[i] {
-            continue;
-        }
-        selected.push(order[i]);
-        let ci = cands[order[i]];
-        xa.clear();
-        xa.extend(ci.bins.iter().map(|&b| b as usize));
-        for k in (i + 1)..order.len() {
-            if removed[k] {
-                continue;
-            }
-            let ck = cands[order[k]];
-            xb.clear();
-            xb.extend(ck.bins.iter().map(|&b| b as usize));
-            let su_pq = symmetrical_uncertainty(xa, xb, ci.n_bins, ck.n_bins);
-            if su_pq >= ck.su {
-                removed[k] = true;
-            }
-        }
-    }
-    selected
+/// Every column of one dataset discretised once against one label
+/// vector: each column's Fayyad–Irani cuts, bins and SU with the
+/// class, computed once. FCBF over any column subset is then an
+/// elimination walk over the table ([`CandidateTable::fcbf`]), so the
+/// global and per-vantage-point selections of one corpus — and the
+/// selections of several vantage-point subsets of it — share one
+/// discretisation pass.
+///
+/// A walk over a column-name filter selects exactly what [`fcbf`]
+/// selects on the dataset restricted to those columns: a column's
+/// cuts and SU depend on that column and the labels only, and the walk
+/// replays [`fcbf`]'s stable ranking over the filtered columns in
+/// column order. Resident state is `4·n_rows` bytes per relevant
+/// column; columns without class-relevant structure are dropped at
+/// build time.
+pub struct CandidateTable {
+    names: Vec<String>,
+    n_rows: usize,
+    cands: Vec<Cand>,
 }
 
-/// Streaming twin of the diagnoser's global + per-vantage-point FCBF
+impl CandidateTable {
+    /// Discretise every column of a resident dataset. `delta` is the
+    /// relevance floor of [`fcbf`].
+    pub fn build(data: &Dataset, delta: f64) -> CandidateTable {
+        Self::build_streaming(
+            &data.features,
+            &data.y,
+            data.n_classes(),
+            delta,
+            |j| -> Result<Vec<f64>, std::convert::Infallible> {
+                Ok(data.x.iter().map(|r| r[j]).collect())
+            },
+        )
+        .unwrap_or_else(|e| match e {})
+    }
+
+    /// Discretise columns fetched one at a time (from a `.vqdc`
+    /// reader, a constructed-column view, …) instead of from a
+    /// resident [`Dataset`]. Resident state is one column during
+    /// `fetch` plus the table itself.
+    pub fn build_streaming<E>(
+        features: &[String],
+        y: &[usize],
+        n_classes: usize,
+        delta: f64,
+        mut fetch: impl FnMut(usize) -> Result<Vec<f64>, E>,
+    ) -> Result<CandidateTable, E> {
+        let mut cands = Vec::new();
+        if !y.is_empty() {
+            let class = Binned::new(y.iter().map(|&c| c as u32).collect(), n_classes);
+            let mut joint = Vec::new();
+            for j in 0..features.len() {
+                let values = fetch(j)?;
+                let cuts = mdl_cuts(&values, y, n_classes);
+                if cuts.cuts.is_empty() {
+                    // No class-relevant structure in this column.
+                    continue;
+                }
+                let bins = values.iter().map(|&v| cuts.bin(v) as u32).collect();
+                let binned = Binned::new(bins, cuts.n_bins());
+                let su = binned.su(&class, &mut joint);
+                if su > delta {
+                    cands.push(Cand { col: j, binned, su });
+                }
+            }
+        }
+        Ok(CandidateTable {
+            names: features.to_vec(),
+            n_rows: y.len(),
+            cands,
+        })
+    }
+
+    /// FCBF over the columns whose name passes `keep`: exactly
+    /// `fcbf(&data.select_features_by(keep), delta)`.
+    pub fn fcbf(&self, keep: impl Fn(&str) -> bool) -> Selection {
+        if self.n_rows == 0 {
+            return Selection {
+                names: Vec::new(),
+                su: Vec::new(),
+            };
+        }
+        // Column order, then a stable sort by SU descending: the
+        // ranking `fcbf` builds over the same columns.
+        let mut order: Vec<&Cand> = self
+            .cands
+            .iter()
+            .filter(|c| keep(&self.names[c.col]))
+            .collect();
+        order.sort_by(|a, b| b.su.total_cmp(&a.su));
+        let mut selected: Vec<&Cand> = Vec::new();
+        let mut removed = vec![false; order.len()];
+        let mut joint = Vec::new();
+        for i in 0..order.len() {
+            if removed[i] {
+                continue;
+            }
+            let ci = order[i];
+            selected.push(ci);
+            for k in (i + 1)..order.len() {
+                if removed[k] {
+                    continue;
+                }
+                if ci.binned.su(&order[k].binned, &mut joint) >= order[k].su {
+                    removed[k] = true;
+                }
+            }
+        }
+
+        let r = vqd_obs::recorder();
+        r.counter_add("features.fcbf.runs", 1);
+        r.counter_add(
+            "features.fcbf.candidates",
+            self.names.iter().filter(|n| keep(n)).count() as u64,
+        );
+        r.counter_add("features.fcbf.relevant", order.len() as u64);
+        r.counter_add("features.fcbf.selected", selected.len() as u64);
+
+        Selection {
+            names: selected.iter().map(|c| self.names[c.col].clone()).collect(),
+            su: selected.iter().map(|c| c.su).collect(),
+        }
+    }
+
+    /// The diagnoser's global + per-vantage-point FCBF union over the
+    /// columns whose name passes `keep`: the global selection, then
+    /// each VP's (a VP is a name's first dot-separated segment; its
+    /// pass keeps the columns starting with it), appending names not
+    /// yet selected. The global pass alone tends to keep one VP's copy
+    /// of a correlated metric and discard the others', which would
+    /// leave the remaining entities unable to diagnose alone.
+    pub fn fcbf_union(&self, keep: impl Fn(&str) -> bool) -> Vec<String> {
+        let mut names = self.fcbf(&keep).names;
+        let vps: std::collections::BTreeSet<&str> = self
+            .names
+            .iter()
+            .filter(|n| keep(n))
+            .filter_map(|n| n.split('.').next())
+            .collect();
+        for vp in vps {
+            for n in self.fcbf(|n| keep(n) && n.starts_with(vp)).names {
+                if !names.contains(&n) {
+                    names.push(n);
+                }
+            }
+        }
+        names
+    }
+}
+
+/// Streaming form of the diagnoser's global + per-vantage-point FCBF
 /// union: columns are fetched one at a time (from a `.vqdc` reader, a
-/// constructed-column view, …) instead of from a resident [`Dataset`].
-///
-/// Selects **exactly** the same feature names, in the same order, as
-/// `fcbf(&data, delta)` unioned with `fcbf` over each VP-prefixed
-/// column subset — the per-column discretisation and SU are
-/// independent of the other columns, and the redundancy walk here
-/// replays [`fcbf`]'s stable ranking over each subset. Resident state
-/// is one column during `fetch` plus `4·n_rows` bytes per *relevant*
-/// candidate (its MDL bins).
+/// constructed-column view, …) into a [`CandidateTable`], the same
+/// table `Diagnoser::prepare` selects from, so the two select
+/// **exactly** the same feature names in the same order.
 pub fn fcbf_union_streaming<E>(
     features: &[String],
     y: &[usize],
     n_classes: usize,
     delta: f64,
-    mut fetch: impl FnMut(usize) -> Result<Vec<f64>, E>,
+    fetch: impl FnMut(usize) -> Result<Vec<f64>, E>,
 ) -> Result<Vec<String>, E> {
-    if y.is_empty() {
-        return Ok(Vec::new());
-    }
-    let ny = n_classes;
-    let mut cands: Vec<StreamCand> = Vec::new();
-    for (j, _) in features.iter().enumerate() {
-        let values = fetch(j)?;
-        let cuts = mdl_cuts(&values, y, ny);
-        if cuts.cuts.is_empty() {
-            continue;
-        }
-        let bins = apply(&cuts, &values);
-        let nb = cuts.n_bins();
-        let su = symmetrical_uncertainty(&bins, y, nb, ny);
-        if su > delta {
-            cands.push(StreamCand {
-                col: j,
-                bins: bins.iter().map(|&b| b as u32).collect(),
-                n_bins: nb,
-                su,
-            });
-        }
-    }
-    let (mut xa, mut xb) = (Vec::new(), Vec::new());
-    let r = vqd_obs::recorder();
-
-    // Global pass.
-    let all: Vec<&StreamCand> = cands.iter().collect();
-    let picked = eliminate(&all, &mut xa, &mut xb);
-    let mut names: Vec<String> = picked
-        .iter()
-        .map(|&i| features[all[i].col].clone())
-        .collect();
-    r.counter_add("features.fcbf.runs", 1);
-    r.counter_add("features.fcbf.candidates", features.len() as u64);
-    r.counter_add("features.fcbf.relevant", cands.len() as u64);
-    r.counter_add("features.fcbf.selected", picked.len() as u64);
-
-    // Per-VP passes, unioned (same rationale as the in-memory
-    // pipeline: keep every entity able to diagnose alone).
-    let vps: std::collections::BTreeSet<String> = features
-        .iter()
-        .filter_map(|n| n.split('.').next().map(str::to_string))
-        .collect();
-    for vp in vps {
-        let sub: Vec<&StreamCand> = cands
-            .iter()
-            .filter(|c| features[c.col].starts_with(&vp))
-            .collect();
-        let picked = eliminate(&sub, &mut xa, &mut xb);
-        r.counter_add("features.fcbf.runs", 1);
-        r.counter_add(
-            "features.fcbf.candidates",
-            features.iter().filter(|n| n.starts_with(&vp)).count() as u64,
-        );
-        r.counter_add("features.fcbf.relevant", sub.len() as u64);
-        r.counter_add("features.fcbf.selected", picked.len() as u64);
-        for &i in &picked {
-            let n = &features[sub[i].col];
-            if !names.contains(n) {
-                names.push(n.clone());
-            }
-        }
-    }
-    Ok(names)
+    Ok(CandidateTable::build_streaming(features, y, n_classes, delta, fetch)?.fcbf_union(|_| true))
 }
 
 /// Rank all features by SU with the class (no redundancy elimination) —
@@ -374,6 +457,14 @@ mod tests {
             .unwrap_or_else(|e| match e {});
             assert_eq!(got, want, "seed {seed}");
             assert!(!got.is_empty());
+            // The resident table path selects the same union, and its
+            // global walk is `fcbf` itself, SU bits included.
+            let table = CandidateTable::build(&d, 0.01);
+            assert_eq!(table.fcbf_union(|_| true), want, "seed {seed}");
+            let (got, want) = (table.fcbf(|_| true), fcbf(&d, 0.01));
+            assert_eq!(got.names, want.names, "seed {seed}");
+            let bits = |s: &Selection| s.su.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "seed {seed}");
         }
     }
 

@@ -8,7 +8,7 @@
 use vqd_simnet::rng::SimRng;
 
 use crate::dataset::Dataset;
-use crate::dtree::{C45Trainer, DecisionTree};
+use crate::dtree::{C45Config, C45Trainer, DecisionTree};
 use crate::metrics::ConfusionMatrix;
 use crate::nb::NaiveBayes;
 use crate::svm::{LinearSvm, SvmConfig};
@@ -19,6 +19,13 @@ pub trait Learner {
     type Model;
     /// Train on the given rows.
     fn fit(&self, data: &Dataset, rows: &[usize]) -> Self::Model;
+    /// Train on the given rows without starting threads of its own:
+    /// what each fold of a parallel [`cross_validate_threads`] runs,
+    /// so the folds are the only level of parallelism. Must return
+    /// the model [`Learner::fit`] returns; defaults to it.
+    fn fit_serial(&self, data: &Dataset, rows: &[usize]) -> Self::Model {
+        self.fit(data, rows)
+    }
     /// Predict one instance with a trained model.
     fn predict(model: &Self::Model, x: &[f64]) -> usize;
 }
@@ -28,6 +35,13 @@ impl Learner for C45Trainer {
     type Model = DecisionTree;
     fn fit(&self, data: &Dataset, rows: &[usize]) -> DecisionTree {
         C45Trainer::fit(self, data, rows)
+    }
+    fn fit_serial(&self, data: &Dataset, rows: &[usize]) -> DecisionTree {
+        let cfg = C45Config {
+            threads: 1,
+            ..self.cfg
+        };
+        C45Trainer { cfg }.fit(data, rows)
     }
     fn predict(model: &DecisionTree, x: &[f64]) -> usize {
         model.predict(x)
@@ -86,6 +100,12 @@ pub fn cross_validate<L: Learner + Sync>(
 /// starts, each fold's held-out predictions are collected
 /// independently, and the pooled confusion matrix is merged in fold
 /// order — so the result is byte-identical for every `threads` value.
+///
+/// When the folds run on more than one thread, each fold's fit runs
+/// serially ([`Learner::fit_serial`]): a C4.5 fit would otherwise
+/// start its own presort and split-search threads inside every fold
+/// ([`C45Config::threads`]), oversubscribing the cores the folds
+/// already occupy.
 pub fn cross_validate_threads<L: Learner + Sync>(
     learner: &L,
     data: &Dataset,
@@ -96,6 +116,7 @@ pub fn cross_validate_threads<L: Learner + Sync>(
     let mut rng = SimRng::seed_from_u64(seed);
     let folds = data.stratified_folds(k, &mut rng);
     let threads = crate::dtree::resolve_threads(threads).min(k.max(1));
+    let parallel = threads > 1 && k >= 2;
     let eval_fold = |held: usize| -> Vec<(usize, usize)> {
         let train: Vec<usize> = folds
             .iter()
@@ -106,13 +127,17 @@ pub fn cross_validate_threads<L: Learner + Sync>(
         if train.is_empty() || folds[held].is_empty() {
             return Vec::new();
         }
-        let model = learner.fit(data, &train);
+        let model = if parallel {
+            learner.fit_serial(data, &train)
+        } else {
+            learner.fit(data, &train)
+        };
         folds[held]
             .iter()
             .map(|&r| (data.y[r], L::predict(&model, &data.x[r])))
             .collect()
     };
-    let per_fold: Vec<Vec<(usize, usize)>> = if threads <= 1 || k < 2 {
+    let per_fold: Vec<Vec<(usize, usize)>> = if !parallel {
         (0..k).map(eval_fold).collect()
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);

@@ -53,41 +53,55 @@ fn distinct_classes(counts: &[usize]) -> usize {
     counts.iter().filter(|&&c| c > 0).count()
 }
 
+/// Class-count buffers of one [`mdl_cuts`] call, reused by every
+/// level of its recursion (each level is done with them before it
+/// recurses).
+struct SplitScratch {
+    total: Vec<usize>,
+    left: Vec<usize>,
+    right: Vec<usize>,
+    best_left: Vec<usize>,
+}
+
 /// Recursive MDL split of `pairs` (sorted by value) appending accepted
 /// cut points to `out`.
-fn split_recursive(pairs: &[(f64, usize)], n_classes: usize, out: &mut Vec<f64>, depth: usize) {
+fn split_recursive(pairs: &[(f64, usize)], s: &mut SplitScratch, out: &mut Vec<f64>, depth: usize) {
     let n = pairs.len();
     if n < 4 || depth > 16 {
         return;
     }
-    let mut total = vec![0usize; n_classes];
+    s.total.fill(0);
     for &(_, c) in pairs {
-        total[c] += 1;
+        s.total[c] += 1;
     }
-    let h_all = class_entropy(&total);
+    let h_all = class_entropy(&s.total);
     if h_all == 0.0 {
         return;
     }
 
-    // Sweep boundary candidates (value changes only).
-    let mut left = vec![0usize; n_classes];
+    // Sweep boundary candidates (value changes only). The left counts
+    // of the best candidate so far are kept for the MDLPC test below.
+    s.left.fill(0);
     let mut best: Option<(usize, f64, f64, f64)> = None; // (idx, cut, h_l, h_r)
     let mut best_weighted = f64::INFINITY;
     for i in 0..n - 1 {
-        left[pairs[i].1] += 1;
+        s.left[pairs[i].1] += 1;
         if pairs[i].0 == pairs[i + 1].0 {
             continue;
         }
-        let right: Vec<usize> = total.iter().zip(&left).map(|(&t, &l)| t - l).collect();
+        for ((r, &t), &l) in s.right.iter_mut().zip(&s.total).zip(&s.left) {
+            *r = t - l;
+        }
         let nl = (i + 1) as f64;
         let nr = (n - i - 1) as f64;
-        let h_l = class_entropy(&left);
-        let h_r = class_entropy(&right);
+        let h_l = class_entropy(&s.left);
+        let h_r = class_entropy(&s.right);
         let weighted = (nl * h_l + nr * h_r) / n as f64;
         if weighted < best_weighted {
             best_weighted = weighted;
             let cut = (pairs[i].0 + pairs[i + 1].0) / 2.0;
             best = Some((i, cut, h_l, h_r));
+            s.best_left.copy_from_slice(&s.left);
         }
     }
     let Some((idx, cut, h_l, h_r)) = best else {
@@ -98,26 +112,22 @@ fn split_recursive(pairs: &[(f64, usize)], n_classes: usize, out: &mut Vec<f64>,
     let gain = h_all - (nl * h_l + nr * h_r) / n as f64;
 
     // MDLPC criterion.
-    let k = distinct_classes(&total) as f64;
-    let mut left_counts = vec![0usize; n_classes];
-    for &(_, c) in &pairs[..=idx] {
-        left_counts[c] += 1;
-    }
-    let right_counts: Vec<usize> = total
+    let k = distinct_classes(&s.total) as f64;
+    let k_l = distinct_classes(&s.best_left) as f64;
+    let k_r = s
+        .total
         .iter()
-        .zip(&left_counts)
-        .map(|(&t, &l)| t - l)
-        .collect();
-    let k_l = distinct_classes(&left_counts) as f64;
-    let k_r = distinct_classes(&right_counts) as f64;
+        .zip(&s.best_left)
+        .filter(|(&t, &l)| t > l)
+        .count() as f64;
     let delta = (3f64.powf(k) - 2.0).log2() - (k * h_all - k_l * h_l - k_r * h_r);
     let threshold = ((n as f64 - 1.0).log2() + delta) / n as f64;
     if gain <= threshold {
         return;
     }
     out.push(cut);
-    split_recursive(&pairs[..=idx], n_classes, out, depth + 1);
-    split_recursive(&pairs[idx + 1..], n_classes, out, depth + 1);
+    split_recursive(&pairs[..=idx], s, out, depth + 1);
+    split_recursive(&pairs[idx + 1..], s, out, depth + 1);
 }
 
 /// Compute MDL cut points for one feature column against the labels.
@@ -129,8 +139,14 @@ pub fn mdl_cuts(values: &[f64], labels: &[usize], n_classes: usize) -> FeatureCu
         .map(|(&v, &c)| (v, c))
         .collect();
     pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut scratch = SplitScratch {
+        total: vec![0; n_classes],
+        left: vec![0; n_classes],
+        right: vec![0; n_classes],
+        best_left: vec![0; n_classes],
+    };
     let mut cuts = Vec::new();
-    split_recursive(&pairs, n_classes, &mut cuts, 0);
+    split_recursive(&pairs, &mut scratch, &mut cuts, 0);
     cuts.sort_by(|a, b| a.total_cmp(b));
     FeatureCuts { cuts }
 }

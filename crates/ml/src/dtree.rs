@@ -52,9 +52,12 @@ pub struct C45Config {
     pub max_depth: usize,
     /// Disable error-based pruning (unpruned J48 `-U`).
     pub unpruned: bool,
-    /// Worker threads for the split search (0 = available
-    /// parallelism, 1 = serial). The result is identical for every
-    /// value.
+    /// Worker threads for the presort and split search (0 =
+    /// available parallelism, 1 = serial). The result is identical
+    /// for every value. Fits inside a parallel cross-validation run
+    /// serially whatever this says
+    /// ([`cross_validate_threads`](crate::cv::cross_validate_threads)
+    /// puts its folds on the threads instead).
     pub threads: usize,
 }
 
